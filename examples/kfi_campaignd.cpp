@@ -346,6 +346,7 @@ int cmd_aggregate(const CliOptions& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  machine::default_exec_engine();  // a bad KFI_EXEC exits 2 up front
   const CliOptions cli = parse_cli(argc, argv);
   if (cli.command == "run") return cmd_run(cli);
   if (cli.command == "prepare") return cmd_prepare(cli);

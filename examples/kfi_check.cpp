@@ -373,6 +373,7 @@ int cmd_determinism(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  machine::default_exec_engine();  // a bad KFI_EXEC exits 2 up front
   if (argc < 2) return usage();
   const std::string command = argv[1];
   if (command == "shape") return cmd_shape(argc, argv);

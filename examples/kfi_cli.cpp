@@ -296,6 +296,7 @@ int cmd_report(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  machine::default_exec_engine();  // a bad KFI_EXEC exits 2 up front
   if (argc < 2) return usage();
   const std::string command = argv[1];
   if (command == "workloads") return cmd_workloads();

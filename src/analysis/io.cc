@@ -6,6 +6,7 @@
 
 #include "analysis/store.h"
 #include "kernel/build.h"
+#include "machine/machine.h"
 #include "support/fsio.h"
 #include "support/serial.h"
 #include "support/strings.h"
@@ -176,6 +177,7 @@ unsigned jobs_from_env() {
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions options;
   options.jobs = jobs_from_env();
+  machine::default_exec_engine();  // a bad KFI_EXEC exits 2 up front
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale" && i + 1 < argc) {

@@ -60,7 +60,7 @@ unsigned jobs_from_env();
 
 // All numeric flags are strict (support/strings parse_u64): a
 // malformed value prints a diagnostic and exits(2) instead of being
-// atoi'd to 0.
+// atoi'd to 0.  KFI_JOBS and KFI_EXEC are validated the same way.
 BenchOptions parse_bench_options(int argc, char** argv);
 
 // Runs (or loads) one campaign with the given options.

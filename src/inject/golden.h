@@ -66,7 +66,8 @@ struct InjectorOptions {
   // pre-optimization baseline; results are bit-identical either way).
   bool full_restore = false;
   // Execution engine for every machine built against this cache;
-  // results are bit-identical between engines (defaults from KFI_EXEC).
+  // results are bit-identical between engines (defaults from KFI_EXEC:
+  // chained when unset), so it is never part of an artifact's identity.
   machine::ExecEngine exec_engine = machine::default_exec_engine();
   // Capacity of the per-injector forensics TraceBuffer (0 = tracing
   // off, the default).  Recording is strictly observational: outcomes

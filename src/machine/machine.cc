@@ -1,8 +1,10 @@
 #include "machine/machine.h"
 
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "fsutil/kfs.h"
 #include "fsutil/kfs_format.h"
@@ -98,21 +100,32 @@ class Machine::TlbDevice : public vm::Device {
 // Root disk
 // ---------------------------------------------------------------------
 
+bool parse_exec_engine(std::string_view text, ExecEngine& engine) {
+  static constexpr std::pair<std::string_view, ExecEngine> kNames[] = {
+      {"step", ExecEngine::Step},         {"block", ExecEngine::Block},
+      {"chained", ExecEngine::Chained},   {"threaded", ExecEngine::Threaded},
+      {"memfast", ExecEngine::Memfast},
+  };
+  for (const auto& [name, value] : kNames) {
+    if (text == name) {
+      engine = value;
+      return true;
+    }
+  }
+  return false;
+}
+
 ExecEngine default_exec_engine() {
   const char* env = std::getenv("KFI_EXEC");
-  if (env != nullptr && std::string_view(env) == "block") {
-    return ExecEngine::Block;
+  ExecEngine engine = ExecEngine::Chained;
+  if (env == nullptr || *env == '\0') return engine;
+  if (!parse_exec_engine(env, engine)) {
+    std::fprintf(stderr, "error: KFI_EXEC expects one of "
+                         "step|block|chained|threaded|memfast, got '%s'\n",
+                 env);
+    std::exit(2);
   }
-  if (env != nullptr && std::string_view(env) == "chained") {
-    return ExecEngine::Chained;
-  }
-  if (env != nullptr && std::string_view(env) == "threaded") {
-    return ExecEngine::Threaded;
-  }
-  if (env != nullptr && std::string_view(env) == "memfast") {
-    return ExecEngine::Memfast;
-  }
-  return ExecEngine::Step;
+  return engine;
 }
 
 std::uint64_t fnv1a_mix_bytes(std::uint64_t h, const void* data,

@@ -71,11 +71,18 @@ struct RunResult {
 enum class ExecEngine : std::uint8_t { Step, Block, Chained, Threaded,
                                        Memfast };
 
-// Reads the KFI_EXEC environment variable once per call: "block"
-// selects ExecEngine::Block, "chained" ExecEngine::Chained, "threaded"
-// ExecEngine::Threaded, "memfast" ExecEngine::Memfast, anything else
-// (or unset) the stepper.  MachineOptions defaults from this so CI can
-// drive the whole test suite through any engine without code changes.
+// Maps an engine name ("step", "block", "chained", "threaded" or
+// "memfast", exact and lower-case) to its ExecEngine.  Returns false
+// and leaves `engine` untouched for any other text.
+bool parse_exec_engine(std::string_view text, ExecEngine& engine);
+
+// Reads the KFI_EXEC environment variable on every call (no caching,
+// so tests can setenv): unset or empty selects ExecEngine::Chained,
+// the library default; an engine name selects that engine, so
+// KFI_EXEC=step runs the reference stepper.  Any other value prints an
+// error and exits 2, so a typo never silently picks an engine.
+// MachineOptions and InjectorOptions default from this, so CI can drive
+// the whole test suite through any engine without code changes.
 ExecEngine default_exec_engine();
 
 struct MachineOptions {

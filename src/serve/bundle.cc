@@ -15,27 +15,26 @@ namespace {
 constexpr std::uint32_t kBundleMagic = 0x4B464942;  // "KFIB"
 // v2: appends the written-data footprint and the golden syscall-exit
 // list (campaign E/F golden inputs) after the checkpoint ladder.
-constexpr std::uint32_t kBundleVersion = 2;
+// v3: drops the execution engine from the options echo — golden
+// artifacts are bit-identical under every engine.
+constexpr std::uint32_t kBundleVersion = 3;
 
-// The option fields golden artifacts can depend on.  budget_* and
-// trace_capacity are run-time knobs applied by the Injector, never
-// baked into artifacts, so they stay out of the bundle identity.
+// The option fields golden artifacts can depend on.  budget_*,
+// trace_capacity and exec_engine are run-time knobs that never change
+// the artifact bytes, so they stay out of the bundle identity.
 void write_options_echo(ByteWriter& writer,
                         const inject::InjectorOptions& options) {
   writer.u32(static_cast<std::uint32_t>(options.checkpoints));
   writer.u8(options.full_restore ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(options.exec_engine));
 }
 
 bool options_echo_matches(ByteReader& reader,
                           const inject::InjectorOptions& options) {
   const std::uint32_t checkpoints = reader.u32();
   const bool full_restore = reader.u8() != 0;
-  const std::uint32_t engine = reader.u32();
   return reader.ok() &&
          checkpoints == static_cast<std::uint32_t>(options.checkpoints) &&
-         full_restore == options.full_restore &&
-         engine == static_cast<std::uint32_t>(options.exec_engine);
+         full_restore == options.full_restore;
 }
 
 }  // namespace
@@ -208,10 +207,9 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
 std::string bundle_path(const std::string& dir, const std::string& workload,
                         const inject::InjectorOptions& options,
                         std::uint64_t kernel_fp) {
-  return format("%s/bundle_%s_k%08x_c%d%s_e%d.kfib", dir.c_str(),
+  return format("%s/bundle_%s_k%08x_c%d%s.kfib", dir.c_str(),
                 workload.c_str(), static_cast<std::uint32_t>(kernel_fp),
-                options.checkpoints, options.full_restore ? "_fr" : "",
-                static_cast<int>(options.exec_engine));
+                options.checkpoints, options.full_restore ? "_fr" : "");
 }
 
 }  // namespace kfi::serve

@@ -27,7 +27,9 @@ constexpr std::uint32_t kManifestMagic = 0x4B46494D;  // "KFIM"
 // so a resume against a directory whose manifest was produced under a
 // different fault model (or a tampered campaign/model pairing) fails
 // the config-hash comparison instead of silently mixing models.
-constexpr std::uint32_t kManifestVersion = 2;
+// v3: drops the execution engine from the config echo — results are
+// engine-invariant, so each process runs its workers on its own engine.
+constexpr std::uint32_t kManifestVersion = 3;
 
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.kfim";
@@ -45,7 +47,6 @@ std::string claim_path(const std::string& dir, std::uint64_t shard) {
 void write_config_echo(ByteWriter& writer, const Manifest& manifest) {
   writer.u32(static_cast<std::uint32_t>(manifest.options.checkpoints));
   writer.u8(manifest.options.full_restore ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(manifest.options.exec_engine));
   writer.f64(manifest.options.budget_factor);
   writer.u64(manifest.options.budget_slack);
   writer.u64(manifest.kernel_fp);
@@ -65,8 +66,6 @@ void write_config_echo(ByteWriter& writer, const Manifest& manifest) {
 bool read_config_echo(ByteReader& reader, Manifest& manifest) {
   manifest.options.checkpoints = static_cast<int>(reader.u32());
   manifest.options.full_restore = reader.u8() != 0;
-  manifest.options.exec_engine =
-      static_cast<machine::ExecEngine>(reader.u32());
   manifest.options.budget_factor = reader.f64();
   manifest.options.budget_slack = reader.u64();
   manifest.kernel_fp = reader.u64();
@@ -402,7 +401,7 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
 
 WorkerReport run_worker(const std::string& dir, unsigned worker_id,
                         unsigned workers, std::uint64_t max_shards,
-                        bool verbose) {
+                        bool verbose, machine::ExecEngine engine) {
   WorkerReport report;
   auto full = load_manifest_full(dir);
   if (!full.has_value()) {
@@ -410,6 +409,7 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
                  worker_id, dir.c_str());
     return report;
   }
+  full->first.options.exec_engine = engine;
   const Manifest& manifest = full->first;
   const std::string& bundle_dir = full->second;
   if (workers == 0) workers = 1;
@@ -572,7 +572,8 @@ ServiceResult run_service(const ServiceConfig& config, bool materialize) {
         if (pid == 0) {
           const WorkerReport report =
               run_worker(config.dir, w, workers,
-                         config.max_shards_per_worker, config.verbose);
+                         config.max_shards_per_worker, config.verbose,
+                         config.options.exec_engine);
           if (config.worker_death == ServiceConfig::WorkerDeath::Signal) {
             ::raise(SIGKILL);
           }

@@ -149,10 +149,12 @@ std::optional<Manifest> load_manifest(const std::string& dir);
 // owned ones (index % workers == worker_id) first, then steals — and
 // streams each into the artifact store.  Runs in-process; run_service
 // calls it from forked children, `kfi_campaignd worker` from a spawned
-// process.  `max_shards` 0 = unlimited.
-WorkerReport run_worker(const std::string& dir, unsigned worker_id,
-                        unsigned workers, std::uint64_t max_shards = 0,
-                        bool verbose = false);
+// process.  `max_shards` 0 = unlimited.  The manifest does not record
+// an engine (results are engine-invariant); the worker runs on `engine`.
+WorkerReport run_worker(
+    const std::string& dir, unsigned worker_id, unsigned workers,
+    std::uint64_t max_shards = 0, bool verbose = false,
+    machine::ExecEngine engine = machine::default_exec_engine());
 
 // Streams every shard artifact through content-hash verification and
 // the k-way spec-order merge, folding the digest (and the materialized

@@ -6,6 +6,7 @@
 
 #include "inject/campaign.h"
 #include "inject/targets.h"
+#include "../support/scoped_env.h"
 
 namespace kfi::inject {
 namespace {
@@ -244,6 +245,23 @@ TEST(Injector, ChainedEngineFlipSeversChainsAndMatchesStep) {
       << "the flip site must invalidate the cached block under it";
   EXPECT_EQ(step_inj.perf_stats().chain_follows, 0u);
   EXPECT_EQ(step_inj.perf_stats().block_ops, 0u);
+}
+
+TEST(Injector, DefaultOptionsRunOnTheChainedEngine) {
+  // With KFI_EXEC unset, InjectorOptions{} (and so GoldenCache, the
+  // campaign executors and every CLI) must dispatch through chained
+  // traces; a silent fall back to the stepper would show as zero
+  // chain follows here.
+  const testing_support::ScopedEnv env("KFI_EXEC", nullptr);
+  const kernel::KernelFunction* fn = image().function("pipe_read");
+  ASSERT_NE(fn, nullptr);
+  const auto sites = enumerate_function(image(), *fn);
+  const InjectionSpec spec = spec_for("pipe_read", sites[2], 0, 5, "pipe",
+                                      Campaign::RandomNonBranch);
+  Injector injector{InjectorOptions{}};
+  EXPECT_EQ(injector.options().exec_engine, machine::ExecEngine::Chained);
+  injector.run_one(spec);
+  EXPECT_GT(injector.perf_stats().chain_follows, 0u);
 }
 
 TEST(Injector, ThreadedEngineFlipInvalidatesHandlersAndMatchesStep) {

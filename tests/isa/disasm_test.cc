@@ -73,6 +73,14 @@ TEST(Disasm, IntSyscall) {
   EXPECT_EQ(disasm({0xCD, 0x80}), "int $0x80");
 }
 
+TEST(Disasm, Int32MinOperandsNegateWithoutOverflow) {
+  // imm32 and disp32 of 0x80000000 are INT32_MIN; their magnitude only
+  // fits unsigned (negating the signed value is undefined behaviour).
+  EXPECT_EQ(disasm({0xB8, 0x00, 0x00, 0x00, 0x80}), "mov $-0x80000000,%eax");
+  EXPECT_EQ(disasm({0x8B, 0x88, 0x00, 0x00, 0x00, 0x80}),
+            "mov -0x80000000(%eax),%ecx");
+}
+
 TEST(Disasm, AbsoluteMemOperand) {
   EXPECT_EQ(disasm({0x8B, 0x0D, 0x00, 0x10, 0x20, 0xC0}),
             "mov 0xc0201000,%ecx");

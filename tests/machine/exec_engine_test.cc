@@ -20,6 +20,7 @@
 #include "check/replay.h"
 #include "inject/campaign.h"
 #include "profile/profile.h"
+#include "../support/scoped_env.h"
 
 namespace kfi::machine {
 namespace {
@@ -239,21 +240,53 @@ TEST(ExecEngine, TimerPeriodSweepChainedMatchesStep) {
 }
 
 TEST(ExecEngine, DefaultsFromEnvironment) {
-  // The KFI_EXEC matrix legs in CI rely on this default.
-  const ExecEngine def = default_exec_engine();
-  const char* env = std::getenv("KFI_EXEC");
-  if (env != nullptr && std::string_view(env) == "block") {
-    EXPECT_EQ(def, ExecEngine::Block);
-  } else if (env != nullptr && std::string_view(env) == "chained") {
-    EXPECT_EQ(def, ExecEngine::Chained);
-  } else if (env != nullptr && std::string_view(env) == "threaded") {
-    EXPECT_EQ(def, ExecEngine::Threaded);
-  } else if (env != nullptr && std::string_view(env) == "memfast") {
-    EXPECT_EQ(def, ExecEngine::Memfast);
-  } else {
-    EXPECT_EQ(def, ExecEngine::Step);
+  // Unset or empty selects the chained engine; each engine name selects
+  // its engine (KFI_EXEC=step is the reference stepper, which the CI
+  // step leg runs the whole suite under).
+  struct Case {
+    const char* value;  // nullptr = unset
+    ExecEngine expect;
+  };
+  const Case cases[] = {
+      {nullptr, ExecEngine::Chained},     {"", ExecEngine::Chained},
+      {"step", ExecEngine::Step},         {"block", ExecEngine::Block},
+      {"chained", ExecEngine::Chained},   {"threaded", ExecEngine::Threaded},
+      {"memfast", ExecEngine::Memfast},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.value == nullptr ? "(unset)" : c.value);
+    const testing_support::ScopedEnv env("KFI_EXEC", c.value);
+    EXPECT_EQ(default_exec_engine(), c.expect);
+    // Machines and golden caches (and through them every campaign
+    // executor) share the one default.
+    EXPECT_EQ(MachineOptions{}.exec_engine, c.expect);
+    EXPECT_EQ(inject::InjectorOptions{}.exec_engine, c.expect);
   }
-  EXPECT_EQ(MachineOptions{}.exec_engine, def);
+}
+
+TEST(ExecEngine, ParseAcceptsExactlyTheFiveNames) {
+  ExecEngine engine = ExecEngine::Block;
+  EXPECT_TRUE(parse_exec_engine("memfast", engine));
+  EXPECT_EQ(engine, ExecEngine::Memfast);
+  for (const char* bad : {"", "Step", "chained ", "fast", "memfst"}) {
+    EXPECT_FALSE(parse_exec_engine(bad, engine)) << bad;
+    EXPECT_EQ(engine, ExecEngine::Memfast) << "left untouched on " << bad;
+  }
+}
+
+TEST(ExecEngineDeathTest, UnknownValueExitsTwo) {
+  // A typo must never silently pick an engine.
+  for (const char* bad : {"Step", "chained ", "fast"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(
+        {
+          ::setenv("KFI_EXEC", bad, 1);
+          default_exec_engine();
+        },
+        ::testing::ExitedWithCode(2),
+        "error: KFI_EXEC expects one of "
+        "step.block.chained.threaded.memfast, got '");
+  }
 }
 
 }  // namespace

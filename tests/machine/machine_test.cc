@@ -32,6 +32,13 @@ struct WorkloadCase {
   const char* expect_in_output;
 };
 
+// Print the workload name rather than gtest's default byte dump, which
+// shows the two pointers and so renames the ctest entries on every
+// discovery run under ASLR.
+void PrintTo(const WorkloadCase& param, std::ostream* os) {
+  *os << param.name;
+}
+
 class WorkloadRuns : public ::testing::TestWithParam<WorkloadCase> {};
 
 TEST_P(WorkloadRuns, RunsToCleanCompletion) {

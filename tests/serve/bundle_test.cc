@@ -16,6 +16,7 @@
 #include "analysis/io.h"
 #include "inject/golden.h"
 #include "kernel/build.h"
+#include "support/fsio.h"
 
 namespace kfi::serve {
 namespace {
@@ -107,6 +108,38 @@ TEST_F(BundleTest, DeterministicBytesAcrossRewrites) {
   // serialize them in a canonical order for the content hash to be
   // stable across writers.
   EXPECT_EQ(*h1, *h2);
+}
+
+TEST_F(BundleTest, EngineIsNotPartOfTheBundle) {
+  // Golden artifacts are engine-invariant: goldens built under the
+  // stepper and under chained dispatch serialize to the same bytes,
+  // share one file name, and load under either engine.
+  inject::InjectorOptions step = options();
+  step.exec_engine = machine::ExecEngine::Step;
+  inject::InjectorOptions chained = options();
+  chained.exec_engine = machine::ExecEngine::Chained;
+  inject::GoldenCache step_cache(step);
+  inject::GoldenCache chained_cache(chained);
+
+  const std::string dir = fresh_dir("kfi_bundle_test_engine");
+  EXPECT_EQ(bundle_path(dir, "pipe", step, kernel_fp_),
+            bundle_path(dir, "pipe", chained, kernel_fp_));
+  const std::string step_path = dir + "/step.kfib";
+  const std::string chained_path = dir + "/chained.kfib";
+  const auto h_step = write_bundle(step_path, "pipe",
+                                   step_cache.workload("pipe"), step,
+                                   kernel_fp_);
+  const auto h_chained = write_bundle(chained_path, "pipe",
+                                      chained_cache.workload("pipe"), chained,
+                                      kernel_fp_);
+  ASSERT_TRUE(h_step.has_value() && h_chained.has_value());
+  EXPECT_EQ(*h_step, *h_chained);
+  EXPECT_EQ(kfi::read_file_bytes(step_path),
+            kfi::read_file_bytes(chained_path));
+  EXPECT_TRUE(load_bundle(step_path, "pipe", chained, kernel_fp_, *h_step)
+                  .has_value());
+  EXPECT_TRUE(load_bundle(chained_path, "pipe", step, kernel_fp_, *h_step)
+                  .has_value());
 }
 
 TEST_F(BundleTest, RejectsMismatchedIdentityAndCorruption) {

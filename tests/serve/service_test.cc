@@ -19,6 +19,8 @@
 #include "check/replay.h"
 #include "inject/injector.h"
 #include "profile/profile.h"
+#include "serve/bundle.h"
+#include "../support/scoped_env.h"
 
 namespace kfi::serve {
 namespace {
@@ -320,6 +322,101 @@ TEST(Service, DifferentConfigInvalidatesTheManifest) {
   EXPECT_EQ(second.shards_resumed, 0u);
   EXPECT_EQ(second.shards_executed, second.shard_count);
   EXPECT_NE(second.digest, first.digest);
+}
+
+TEST(Service, StepPreparedCampaignResumesUnderTheDefaultEngine) {
+  // The engine is not part of campaign identity: a smoke A/B/C
+  // directory prepared and half-run under KFI_EXEC=step resumes under
+  // the default (chained) engine with no wipe and no bundle rebuild,
+  // and folds to the pinned smoke digest.
+  const std::string dir = fresh_dir("kfi_service_test_engine_resume");
+  auto smoke_service = [&] {
+    ServiceConfig config;
+    for (const inject::Campaign campaign :
+         {inject::Campaign::RandomNonBranch, inject::Campaign::RandomBranch,
+          inject::Campaign::IncorrectBranch}) {
+      config.campaigns.push_back(check::smoke_config(campaign));
+    }
+    config.dir = dir;
+    config.workers = 2;
+    return config;
+  };
+
+  std::uint64_t completed = 0;
+  {
+    const testing_support::ScopedEnv env("KFI_EXEC", "step");
+    ServiceConfig killed = smoke_service();
+    ASSERT_EQ(killed.options.exec_engine, machine::ExecEngine::Step);
+    killed.max_shards_per_worker = 1;
+    killed.max_attempts = 1;
+    const ServiceResult partial = run_service(killed);
+    EXPECT_FALSE(partial.ok);
+    EXPECT_GT(partial.bundles_built, 0u);
+    const analysis::ShardStore store(dir + "/shards");
+    for (std::uint64_t shard = 0; shard < partial.shard_count; ++shard) {
+      if (store.find_shard(shard).has_value()) ++completed;
+    }
+    EXPECT_EQ(completed, 2u);  // one shard from each of the two workers
+  }
+
+  const testing_support::ScopedEnv env("KFI_EXEC", nullptr);
+  const ServiceConfig config = smoke_service();
+  ASSERT_EQ(config.options.exec_engine, machine::ExecEngine::Chained);
+  const ServiceResult resumed = run_service(config);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.digest, 0x54fdd95d1638c920ULL);
+  EXPECT_EQ(resumed.total_runs, 842u);
+  EXPECT_EQ(resumed.shards_resumed, completed);
+  EXPECT_EQ(resumed.shards_executed, resumed.shard_count - completed);
+  EXPECT_EQ(resumed.bundles_built, 0u);
+
+  // A chained worker adopts every step-built bundle as-is.
+  const auto manifest = load_manifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+  const WorkerReport report = run_worker(dir, 0, 1);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.bundle_adoptions, manifest->workloads.size());
+}
+
+// Rewrites the u32 format version that follows the 4-byte magic.
+void set_format_version(const std::string& path, std::uint32_t version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekp(4);
+  f.write(reinterpret_cast<const char*>(&version), sizeof version);
+}
+
+TEST(Service, PreviousFormatVersionsAreRejectedAndRebuilt) {
+  // v2 manifests and bundles (which still echoed the engine) must not
+  // be adopted: loading rejects them, and the next run wipes the shards
+  // and rebuilds every bundle.
+  const std::string dir = fresh_dir("kfi_service_test_format_v2");
+  ServiceConfig config = base_config(dir);
+  config.bundle_dir = dir + "/bundles";  // private: rewritten below
+  const ServiceResult first = run_service(config);
+  ASSERT_TRUE(first.ok) << first.error;
+  const auto manifest = load_manifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+
+  set_format_version(dir + "/manifest.kfim", 2);
+  EXPECT_FALSE(load_manifest(dir).has_value());
+  for (const std::string& workload : manifest->workloads) {
+    const std::string path = bundle_path(config.bundle_dir, workload,
+                                         config.options, manifest->kernel_fp);
+    set_format_version(path, 2);
+    EXPECT_FALSE(load_bundle(path, workload, config.options,
+                             manifest->kernel_fp)
+                     .has_value())
+        << path;
+  }
+
+  const ServiceResult second = run_service(config);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(second.bundles_built, manifest->workloads.size());
+  EXPECT_EQ(second.bundles_adopted, 0u);
+  EXPECT_EQ(second.shards_resumed, 0u);
+  EXPECT_EQ(second.shards_executed, second.shard_count);
+  EXPECT_EQ(second.digest, reference_digest());
 }
 
 }  // namespace
