@@ -544,8 +544,10 @@ ServiceResult run_service(const ServiceConfig& config, bool materialize) {
   const std::uint64_t shard_count = manifest->shard_ranges.size();
   const unsigned workers = std::max(config.workers, 1u);
 
+  std::vector<bool> resumed(shard_count, false);
   for (std::uint64_t shard = 0; shard < shard_count; ++shard) {
-    if (shard_done(store, shard)) ++result.shards_resumed;
+    resumed[shard] = shard_done(store, shard);
+    if (resumed[shard]) ++result.shards_resumed;
   }
 
   for (int attempt = 1; attempt <= std::max(config.max_attempts, 1);
@@ -618,7 +620,7 @@ ServiceResult run_service(const ServiceConfig& config, bool materialize) {
       }
       if (fork_failed) {
         result.error = "fork failed";
-        return result;
+        break;
       }
     }
     if (aggregate_campaign(config.dir, materialize, result)) {
@@ -630,10 +632,14 @@ ServiceResult run_service(const ServiceConfig& config, bool materialize) {
                    result.error.c_str());
     }
   }
-  if (!result.ok) return result;
 
-  result.shards_executed = shard_count - result.shards_resumed;
+  // Tallied from the store and the claims whether or not the campaign
+  // folded: a run that ends early (killed workers, max_attempts used
+  // up, a failed fork) still reports the verified shards it landed.
+  // A folded campaign has just verified every shard.
   for (std::uint64_t shard = 0; shard < shard_count; ++shard) {
+    if (!result.ok && !shard_done(store, shard)) continue;
+    if (!resumed[shard]) ++result.shards_executed;
     const std::optional<unsigned> owner = claim_owner(config.dir, shard);
     if (owner.has_value() && *owner != shard % workers) ++result.steals;
   }

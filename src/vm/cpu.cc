@@ -158,8 +158,8 @@ void Cpu::dtlb_fill(std::uint32_t vaddr, std::uint32_t paddr, Access access) {
   e.write_ok = access == Access::Write || keep_write;
 }
 
-bool Cpu::read_v(std::uint32_t vaddr, std::uint32_t size,
-                 std::uint32_t& value) {
+bool Cpu::read_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                      std::uint32_t& value) {
   if (memfast_) {
     // D-TLB fast path: a hit proves the filling translate below would
     // succeed as a side-effect-free TLB hit with this frame (see the
@@ -241,10 +241,10 @@ bool Cpu::read_v(std::uint32_t vaddr, std::uint32_t size,
   return true;
 }
 
-bool Cpu::write_v(std::uint32_t vaddr, std::uint32_t size,
-                  std::uint32_t value) {
+bool Cpu::write_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                       std::uint32_t value) {
   if (memfast_) {
-    // Same proof as in read_v, plus write permission: `write_ok` means
+    // Same proof as in read_v_slow, plus write permission: `write_ok` means
     // a full translate with Access::Write succeeded at this epoch/cpl.
     // Stores still go through PhysicalMemory, so page write versions
     // bump exactly as on the slow path (SMC and flip detection intact).
@@ -370,13 +370,13 @@ bool Cpu::peek8(std::uint32_t vaddr, std::uint8_t& value) {
 // Operand helpers
 // ---------------------------------------------------------------------
 
-bool Cpu::operand_addr(const Operand& op, std::uint32_t& addr) {
+inline bool Cpu::operand_addr(const Operand& op, std::uint32_t& addr) {
   addr = static_cast<std::uint32_t>(op.mem.disp);
   if (op.mem.has_base) addr += regs_[static_cast<int>(op.mem.base)];
   return true;
 }
 
-bool Cpu::read_operand(const Operand& op, std::uint32_t& value) {
+inline bool Cpu::read_operand(const Operand& op, std::uint32_t& value) {
   switch (op.kind) {
     case OperandKind::Reg:
       value = regs_[static_cast<int>(op.reg)];
@@ -406,7 +406,7 @@ bool Cpu::read_operand(const Operand& op, std::uint32_t& value) {
   return true;
 }
 
-bool Cpu::write_operand(const Operand& op, std::uint32_t value) {
+inline bool Cpu::write_operand(const Operand& op, std::uint32_t value) {
   switch (op.kind) {
     case OperandKind::Reg:
       regs_[static_cast<int>(op.reg)] = value;

@@ -148,10 +148,12 @@ class Cpu {
 
   // Enables the data-side fast paths (ExecEngine::Memfast; implies
   // threaded+chained, which the machine layer turns on alongside):
-  //   - a software D-TLB in front of read_v/write_v, so loads and
-  //     stores whose translation is provably still a TLB hit (same
-  //     page, same cpl, Mmu epoch unchanged since the fill, write
-  //     permission proven for stores) skip the mmu_.translate call;
+  //   - a software D-TLB in front of the Mmu in read_v_slow/
+  //     write_v_slow (memfast loads and stores skip the inline
+  //     Mmu::probe hit path), so accesses whose translation is
+  //     provably still a TLB hit (same page, same cpl, Mmu epoch
+  //     unchanged since the fill, write permission proven for
+  //     stores) skip the mmu_.translate call;
   //   - trace formation widened past conditional branches — the
   //     decoder follows the statically predicted edge (backward taken,
   //     forward fall-through) and the dispatch loop side-exits fail-
@@ -266,15 +268,54 @@ class Cpu {
                int depth);
 
   // Guest memory access; on failure raises #PF/#GP and returns false.
-  bool read_v(std::uint32_t vaddr, std::uint32_t size, std::uint32_t& value);
-  bool write_v(std::uint32_t vaddr, std::uint32_t size, std::uint32_t value);
+  // The common case — a single-page access whose translation is a
+  // plain TLB hit (Mmu::probe) — completes inline with no calls: such
+  // a hit in translate() has no side effects, so skipping it is
+  // unobservable, and the access still goes through PhysicalMemory,
+  // so stores bump page versions as before.  Everything else takes the
+  // *_slow path: misses and fills, faults, MMIO, page-crossing
+  // accesses, memfast's D-TLB, and stores recorded by the write trace.
+  [[gnu::always_inline]] bool read_v(std::uint32_t vaddr, std::uint32_t size,
+                                     std::uint32_t& value) {
+    std::uint32_t paddr;
+    if (!memfast_ && (size == 1 || (vaddr & kPageMask) <= kPageSize - 4) &&
+        mmu_.probe(vaddr, Access::Read, cpl_, paddr)) {
+      value = size == 1 ? memory_.read8(paddr) : memory_.read32(paddr);
+      return true;
+    }
+    return read_v_slow(vaddr, size, value);
+  }
+  [[gnu::always_inline]] bool write_v(std::uint32_t vaddr, std::uint32_t size,
+                                      std::uint32_t value) {
+    std::uint32_t paddr;
+    if (!memfast_ && write_trace_ == nullptr &&
+        (size == 1 || (vaddr & kPageMask) <= kPageSize - 4) &&
+        mmu_.probe(vaddr, Access::Write, cpl_, paddr)) {
+      if (size == 1) {
+        memory_.write8(paddr, static_cast<std::uint8_t>(value));
+      } else {
+        memory_.write32(paddr, value);
+      }
+      return true;
+    }
+    return write_v_slow(vaddr, size, value);
+  }
+  bool read_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                   std::uint32_t& value);
+  bool write_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                    std::uint32_t value);
   bool push32(std::uint32_t value);
   bool pop32(std::uint32_t& value);
 
-  // Operand helpers.
-  bool operand_addr(const isa::Operand& op, std::uint32_t& addr);
-  bool read_operand(const isa::Operand& op, std::uint32_t& value);
-  bool write_operand(const isa::Operand& op, std::uint32_t value);
+  // Operand helpers, forced inline into every opcode handler (GCC at
+  // -O2 would keep them out of line, which puts a call chain back in
+  // front of the inline memory-access hit path).
+  [[gnu::always_inline]] bool operand_addr(const isa::Operand& op,
+                                           std::uint32_t& addr);
+  [[gnu::always_inline]] bool read_operand(const isa::Operand& op,
+                                           std::uint32_t& value);
+  [[gnu::always_inline]] bool write_operand(const isa::Operand& op,
+                                            std::uint32_t value);
 
   void set_logic_flags32(std::uint32_t result);
   void set_logic_flags8(std::uint8_t result);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "vm/snapshot.h"
@@ -41,8 +42,15 @@ class PhysicalMemory {
     bytes_[paddr] = v;
     ++versions_[paddr >> 12];
   }
-  std::uint32_t read32(std::uint32_t paddr) const;
-  void write32(std::uint32_t paddr, std::uint32_t v);
+  std::uint32_t read32(std::uint32_t paddr) const {
+    std::uint32_t v;
+    std::memcpy(&v, bytes_.data() + paddr, 4);
+    return v;
+  }
+  void write32(std::uint32_t paddr, std::uint32_t v) {
+    std::memcpy(bytes_.data() + paddr, &v, 4);
+    bump_range(paddr, 4);
+  }
 
   std::uint8_t* raw(std::uint32_t paddr) { return bytes_.data() + paddr; }
   const std::uint8_t* raw(std::uint32_t paddr) const {
@@ -102,7 +110,11 @@ class PhysicalMemory {
   std::uint64_t restored_bytes() const { return restored_bytes_; }
 
  private:
-  void bump_range(std::uint32_t paddr, std::uint32_t len);
+  void bump_range(std::uint32_t paddr, std::uint32_t len) {
+    const std::uint32_t first = paddr >> 12;
+    const std::uint32_t last = (paddr + (len ? len - 1 : 0)) >> 12;
+    for (std::uint32_t page = first; page <= last; ++page) ++versions_[page];
+  }
 
   std::vector<std::uint8_t> bytes_;
   std::vector<std::uint64_t> versions_;

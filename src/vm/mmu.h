@@ -39,24 +39,30 @@ class Mmu {
   TranslateStatus translate(std::uint32_t vaddr, Access access, int cpl,
                             std::uint32_t& paddr);
 
+  // The TLB-hit rule, written once: true exactly when translate()
+  // would return Ok straight from the TLB — no walk, no fill, no epoch
+  // bump — with `paddr` filled.  Const and side-effect free, so a
+  // caller that skips translate() whenever this returns true is
+  // indistinguishable from one that calls it.  MMIO addresses, misses
+  // and hits that fail the permission check return false.
+  bool probe(std::uint32_t vaddr, Access access, int cpl,
+             std::uint32_t& paddr) const {
+    if (vaddr >= kMmioBase) return false;
+    const std::uint32_t vpn = vaddr >> 12;
+    const TlbEntry& entry = tlb_[vpn & (kTlbSize - 1)];
+    if (entry.tag != vpn) return false;
+    if (cpl != 0 && !entry.user) return false;
+    if (access == Access::Write && !entry.writable) return false;
+    paddr = entry.frame | (vaddr & kPageMask);
+    return true;
+  }
+
   // Same result as translate() with the TLB-hit path inlined; falls
-  // through to the full (filling) walk on a miss.  The block engine's
+  // through to the full (filling) walk otherwise.  The block engine's
   // per-micro-op fetch verification sits on this.
   TranslateStatus translate_fast(std::uint32_t vaddr, Access access, int cpl,
                                  std::uint32_t& paddr) {
-    if (vaddr >= kMmioBase) {
-      return cpl == 0 ? TranslateStatus::Mmio : TranslateStatus::Protection;
-    }
-    const std::uint32_t vpn = vaddr >> 12;
-    const TlbEntry& entry = tlb_[vpn & (kTlbSize - 1)];
-    if (entry.tag == vpn) {
-      if (cpl != 0 && !entry.user) return TranslateStatus::Protection;
-      if (access == Access::Write && !entry.writable) {
-        return TranslateStatus::Protection;
-      }
-      paddr = entry.frame | (vaddr & kPageMask);
-      return TranslateStatus::Ok;
-    }
+    if (probe(vaddr, access, cpl, paddr)) return TranslateStatus::Ok;
     return translate(vaddr, access, cpl, paddr);
   }
 
@@ -95,6 +101,14 @@ class Mmu {
   };
 
   static constexpr std::uint32_t kTlbSize = 256;  // power of two
+
+  // Everything probe() refuses: the MMIO window, a TLB hit that fails
+  // the permission check (Protection from the cached entry, no walk),
+  // and the page-table walk.  Const; on a successful walk the entry to
+  // install goes to `fill` (when given) and installing it is the
+  // caller's job.
+  TranslateStatus resolve(std::uint32_t vaddr, Access access, int cpl,
+                          std::uint32_t& paddr, TlbEntry* fill) const;
 
   PhysicalMemory& memory_;
   std::uint32_t cr3_ = kBootPgdPhys;

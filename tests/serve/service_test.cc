@@ -352,11 +352,11 @@ TEST(Service, StepPreparedCampaignResumesUnderTheDefaultEngine) {
     const ServiceResult partial = run_service(killed);
     EXPECT_FALSE(partial.ok);
     EXPECT_GT(partial.bundles_built, 0u);
-    const analysis::ShardStore store(dir + "/shards");
-    for (std::uint64_t shard = 0; shard < partial.shard_count; ++shard) {
-      if (store.find_shard(shard).has_value()) ++completed;
-    }
-    EXPECT_EQ(completed, 2u);  // one shard from each of the two workers
+    // A run that stops without folding still reports the shards it
+    // landed: one from each of the two workers.
+    EXPECT_EQ(partial.shards_executed, 2u);
+    EXPECT_EQ(partial.shards_resumed, 0u);
+    completed = partial.shards_executed;
   }
 
   const testing_support::ScopedEnv env("KFI_EXEC", nullptr);
